@@ -108,69 +108,93 @@ def vectorize_enabled() -> bool:
     return _VECTORIZE
 
 
-def _nudge_up(a: np.ndarray) -> np.ndarray:
-    """One-ulp upward nudge of every finite entry (soundness of + on reals)."""
-    out = np.nextafter(a, _INF)
-    out[np.isinf(a)] = a[np.isinf(a)]
-    return out
-
-
 def _closed_matrix(m0: np.ndarray, n: int) -> np.ndarray:
     """The numpy closure kernel: Floyd-Warshall over the doubled graph
     with upward rounding, then octagonal strengthening.  Returns the
-    tightened matrix; the caller decides bottom vs closed."""
+    tightened matrix; the caller decides bottom vs closed.
+
+    Every candidate plane is built in one preallocated buffer with
+    ``out=`` ufuncs, and each one-ulp upward nudge is a single
+    ``np.nextafter(buf, inf)``.  That nudge keeps ``+inf`` and NaN as
+    they are; it differs from a nudge that leaves both infinities alone
+    only on ``-inf``, which it turns into ``-max``.  ``-inf`` can enter
+    the loop only as an input entry or through negative overflow.  A
+    candidate sums at most three current entries (NaN entries only
+    produce NaN), so the most negative entry at most triples per step,
+    over ``4n`` steps.  Since ``3**4 < 2**7``, entries above
+    ``-2**(1000 - 7n)`` stay above ``-2**1000`` and no sum reaches
+    ``-inf``.  ``np.fmin`` skips NaN entries; matrices outside the bound
+    (a ``-inf`` or hugely negative entry, or no non-NaN entry at all) go
+    to the scalar mirror :func:`_closed_matrix_scalar`.
+    """
+    if not np.fmin.reduce(m0, axis=None) > -2.0 ** (1000 - 7 * n):
+        return _closed_matrix_scalar(m0, n)
     m = m0.copy()
     size = 2 * n
+    buf = np.empty((size, size))
+    col = np.empty((size, 1))
+    add, nextafter, minimum = np.add, np.nextafter, np.minimum
     for k in range(n):
-        for kk in (2 * k, 2 * k + 1):
+        k0, k1 = 2 * k, 2 * k + 1
+        for kk in (k0, k1):
             # Floyd-Warshall step through node kk, rounding up.
-            col = m[:, kk:kk + 1]
-            row = m[kk:kk + 1, :]
-            via = _nudge_up(col + row)
-            np.minimum(m, via, out=m)
-        # Combined path through both 2k and 2k+1.
-        a = m[:, 2 * k:2 * k + 1] + m[2 * k, 2 * k + 1]
-        b = m[2 * k + 1:2 * k + 2, :]
-        via2 = _nudge_up(_nudge_up(a) + b)
-        np.minimum(m, via2, out=m)
-        a = m[:, 2 * k + 1:2 * k + 2] + m[2 * k + 1, 2 * k]
-        b = m[2 * k:2 * k + 1, :]
-        via3 = _nudge_up(_nudge_up(a) + b)
-        np.minimum(m, via3, out=m)
+            add(m[:, kk:kk + 1], m[kk:kk + 1, :], out=buf)
+            nextafter(buf, _INF, out=buf)
+            minimum(m, buf, out=m)
+        # Combined paths through both 2k and 2k+1, in either order.
+        for ka, kb in ((k0, k1), (k1, k0)):
+            add(m[:, ka:ka + 1], m[ka, kb], out=col)
+            nextafter(col, _INF, out=col)
+            add(col, m[kb:kb + 1, :], out=buf)
+            nextafter(buf, _INF, out=buf)
+            minimum(m, buf, out=m)
     # Strengthening: m[i][j] <= (m[i][bar i] + m[bar j][j]) / 2.
-    bar = _bar_indices(size)
-    diag_i = m[np.arange(size), bar][:, None]  # m[i][bar i]
-    diag_j = m[bar, np.arange(size)][None, :]  # m[bar j][j]
-    half = _nudge_up(_nudge_up(diag_i + diag_j) / 2.0)
-    np.minimum(m, half, out=m)
+    idx = np.arange(size)
+    bar = idx ^ 1
+    add(m[idx, bar][:, None], m[bar, idx][None, :], out=buf)
+    nextafter(buf, _INF, out=buf)
+    np.divide(buf, 2.0, out=buf)
+    nextafter(buf, _INF, out=buf)
+    minimum(m, buf, out=m)
     return m
 
 
 def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
     """Pure-Python mirror of :func:`_closed_matrix` — the scalar oracle
-    behind ``--no-vectorize``.
+    behind ``--no-vectorize``, and the numpy kernel's own fallback for
+    matrices outside its magnitude guard.
 
-    Bit-identity is by construction: every numpy operation of the
-    vectorized kernel is replayed element-wise with the same operand
-    reads (each ``via`` plane is materialized from the pre-update
-    matrix, exactly like the numpy temporaries), the same IEEE-754
-    scalar operations (``math.nextafter`` ≡ ``np.nextafter``), and
-    ``np.minimum``'s exact pick semantics (NaN from either operand
-    propagates; ties — signed zeros included — keep the first operand).
+    Every numpy operation of the vectorized kernel is replayed
+    element-wise with the same operand reads (each ``via`` plane is
+    materialized from the pre-update matrix, exactly like the numpy
+    buffer), the same IEEE-754 scalar operations (``math.nextafter`` ≡
+    ``np.nextafter``) and ``np.minimum``'s pick semantics (NaN
+    propagates, the current entry's first; ties — signed zeros
+    included — keep the current entry).  The nudge leaves both
+    infinities alone.  On the numpy kernel's domain that is the same as
+    a bare ``nextafter``, since no ``-inf`` arises there; below the
+    guard it is the rule the fallback keeps, so that ``-inf`` entries
+    stay ``-inf``.  The result equals the numpy kernel's bit for bit,
+    except that when two NaNs meet, the sign of the NaN that survives
+    may differ (Python's float addition does not promise numpy's
+    operand order for NaN payloads).  The analyzer's matrices hold no
+    NaN: their bounds come from the directed-rounding primitives, which
+    map NaN results to infinities.
     """
     inf = _INF
 
     def nudge(x: float) -> float:
-        # _nudge_up: nextafter toward +inf, ±inf restored, NaN kept.
+        # nextafter toward +inf; ±inf unchanged, NaN kept.
         if x == inf or x == -inf:
             return x
         return math.nextafter(x, inf)
 
     def min2(cur: float, new: float) -> float:
-        # np.minimum(cur, new): NaN propagates, ties keep ``cur``.
-        if new != new:
+        # np.minimum(cur, new): NaN propagates (``cur`` first), ties
+        # keep ``cur``.  ``new < cur`` is False when either is NaN.
+        if new < cur or (new != new and cur == cur):
             return new
-        return new if new < cur else cur
+        return cur
 
     size = 2 * n
     m = m0.tolist()
@@ -670,10 +694,3 @@ def _seed_bounds(m: np.ndarray, pos: int, iv: Optional[FloatInterval]) -> None:
         _set2(m, 2 * pos + 1, 2 * pos, mul_up(2.0, iv.hi))
     if iv.lo > -_INF:
         _set2(m, 2 * pos, 2 * pos + 1, mul_up(2.0, -iv.lo))
-
-
-def _bar_indices(size: int) -> np.ndarray:
-    """bar(2i) = 2i+1, bar(2i+1) = 2i."""
-    idx = np.arange(size)
-    return idx ^ 1
-

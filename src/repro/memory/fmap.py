@@ -34,7 +34,10 @@ class _Node:
         self.value = value
         self.left = left
         self.right = right
-        self.size = 1 + _size(left) + _size(right)
+        # Child sizes read inline: this and _balance are the hottest
+        # paths of every environment update.
+        self.size = (1 + (left.size if left is not None else 0)
+                     + (right.size if right is not None else 0))
 
 
 def _size(node: Optional[_Node]) -> int:
@@ -42,13 +45,15 @@ def _size(node: Optional[_Node]) -> int:
 
 
 def _balance(key, value, left: Optional[_Node], right: Optional[_Node]) -> _Node:
-    ln, rn = _size(left), _size(right)
+    ln = left.size if left is not None else 0
+    rn = right.size if right is not None else 0
     if ln + rn <= 1:
         return _Node(key, value, left, right)
     if rn > _DELTA * ln:
         assert right is not None
         rl, rr = right.left, right.right
-        if _size(rl) < _RATIO * _size(rr):
+        if ((rl.size if rl is not None else 0)
+                < _RATIO * (rr.size if rr is not None else 0)):
             # single left rotation
             return _Node(right.key, right.value,
                          _Node(key, value, left, rl), rr)
@@ -60,7 +65,8 @@ def _balance(key, value, left: Optional[_Node], right: Optional[_Node]) -> _Node
     if ln > _DELTA * rn:
         assert left is not None
         ll, lr = left.left, left.right
-        if _size(lr) < _RATIO * _size(ll):
+        if ((lr.size if lr is not None else 0)
+                < _RATIO * (ll.size if ll is not None else 0)):
             return _Node(left.key, left.value, ll,
                          _Node(key, value, lr, right))
         assert lr is not None

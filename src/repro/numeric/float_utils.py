@@ -100,8 +100,9 @@ BINARY64 = FloatFormat(
 )
 
 
-def is_finite(x: float) -> bool:
-    return not (math.isinf(x) or math.isnan(x))
+#: Finiteness test (``math.isfinite``; False for infinities and NaN).
+is_finite = math.isfinite
+_nextafter = math.nextafter
 
 
 def next_up(x: float) -> float:
@@ -128,35 +129,36 @@ def round_up(x: float) -> float:
     return next_up(x)
 
 
-def _exact_add(a: float, b: float) -> bool:
-    """True when ``a + b`` is exact in binary64 (via the TwoSum residual)."""
-    s = a + b
-    if not is_finite(s):
-        return False
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return err == 0.0
+# The bounds below return the round-to-nearest result itself when it is
+# exact, and nudge it one ulp outward otherwise.  A finite sum is exact
+# when the TwoSum residual ``(a - (s - bb)) + (b - bb)`` is zero.  On a
+# non-NaN result the nudge is a bare ``nextafter``: it already maps an
+# infinity in the nudge's direction to itself.
 
 
 def add_down(a: float, b: float) -> float:
     """Sound lower bound of the real sum ``a + b``."""
     s = a + b
-    if math.isnan(s):
+    if is_finite(s):
+        bb = s - a
+        if (a - (s - bb)) + (b - bb) == 0.0:
+            return s
+    elif s != s:
         # inf + -inf: the real sum is unconstrained by these abstract bounds.
         return -_INF
-    if is_finite(s) and _exact_add(a, b):
-        return s
-    return next_down(s)
+    return _nextafter(s, -_INF)
 
 
 def add_up(a: float, b: float) -> float:
     """Sound upper bound of the real sum ``a + b``."""
     s = a + b
-    if math.isnan(s):
+    if is_finite(s):
+        bb = s - a
+        if (a - (s - bb)) + (b - bb) == 0.0:
+            return s
+    elif s != s:
         return _INF
-    if is_finite(s) and _exact_add(a, b):
-        return s
-    return next_up(s)
+    return _nextafter(s, _INF)
 
 
 def sub_down(a: float, b: float) -> float:
@@ -167,7 +169,14 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
-_HAS_FMA = hasattr(math, "fma")
+# A fused multiply-add (Python >= 3.13) decides exactness of any
+# product; without one, _exact_mul falls back to a cheap integer test.
+_fma = getattr(math, "fma", None)
+# Below this magnitude the residual ``a*b - p`` of a product can be
+# nonzero yet round to zero, so an FMA residual of zero proves nothing
+# there.  A nonzero residual is at least ``|p| * 2**-105``, and at
+# ``|p| >= 2**-969`` that is at least the smallest subnormal.
+_FMA_MIN_EXACT = math.ldexp(1.0, -969)
 
 
 def _exact_mul(a: float, b: float) -> bool:
@@ -180,53 +189,51 @@ def _exact_mul(a: float, b: float) -> bool:
     if a == 0.0 or b == 0.0:
         return True
     p = a * b
-    if not is_finite(p) or not is_finite(a) or not is_finite(b):
+    # With both factors nonzero, a finite product has finite factors.
+    if not is_finite(p):
         return False
-    if _HAS_FMA:  # pragma: no cover - Python >= 3.13 only
-        return math.fma(a, b, -p) == 0.0
+    if _fma is not None:
+        return abs(p) >= _FMA_MIN_EXACT and _fma(a, b, -p) == 0.0
     # Fast conservative path: exact when both operands are smallish
     # integers (covers the common const*const and 2**k scalings).
-    if (a == int(a) and b == int(b)
-            and abs(a) < 67108864.0 and abs(b) < 67108864.0):
-        return abs(p) < 9007199254740992.0  # 2**53
-    return False
+    return (abs(a) < 67108864.0 and abs(b) < 67108864.0
+            and a == int(a) and b == int(b)
+            and abs(p) < 9007199254740992.0)  # 2**53
 
 
 def mul_down(a: float, b: float) -> float:
     """Sound lower bound of the real product ``a * b``."""
     p = a * b
-    if math.isnan(p):
+    if p != p:
         # 0 * inf. A finite-times-unbounded product is unconstrained below.
         return -_INF
     if _exact_mul(a, b):
         return p
-    return next_down(p)
+    return _nextafter(p, -_INF)
 
 
 def mul_up(a: float, b: float) -> float:
     """Sound upper bound of the real product ``a * b``."""
     p = a * b
-    if math.isnan(p):
+    if p != p:
         return _INF
     if _exact_mul(a, b):
         return p
-    return next_up(p)
+    return _nextafter(p, _INF)
 
 
 def div_down(a: float, b: float) -> float:
     """Sound lower bound of the real quotient ``a / b`` (``b`` nonzero)."""
     if b == 0.0:
         raise ZeroDivisionError("div_down with zero divisor")
-    try:
-        q = a / b
-    except OverflowError:  # pragma: no cover - cannot happen with floats
-        q = math.copysign(_INF, a) * math.copysign(1.0, b)
-    if math.isnan(q):
+    q = a / b
+    if q != q:
         return -_INF
-    # Division is exact only in special cases; detect with a multiply-back.
-    if is_finite(q) and _exact_mul(q, b) and q * b == a:
+    # Division is exact only in special cases; detect with a multiply-back
+    # (an infinite ``q`` never passes _exact_mul).
+    if _exact_mul(q, b) and q * b == a:
         return q
-    return next_down(q)
+    return _nextafter(q, -_INF)
 
 
 def div_up(a: float, b: float) -> float:
@@ -234,11 +241,11 @@ def div_up(a: float, b: float) -> float:
     if b == 0.0:
         raise ZeroDivisionError("div_up with zero divisor")
     q = a / b
-    if math.isnan(q):
+    if q != q:
         return _INF
-    if is_finite(q) and _exact_mul(q, b) and q * b == a:
+    if _exact_mul(q, b) and q * b == a:
         return q
-    return next_up(q)
+    return _nextafter(q, _INF)
 
 
 def sqrt_down(x: float) -> float:

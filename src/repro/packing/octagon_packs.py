@@ -31,13 +31,20 @@ class OctagonPack:
 
     pack_id: int
     cids: Tuple[int, ...]
+    _index: Dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index",
+                           {cid: i for i, cid in enumerate(self.cids)})
 
     @property
     def size(self) -> int:
         return len(self.cids)
 
     def index_of(self) -> Dict[int, int]:
-        return {cid: i for i, cid in enumerate(self.cids)}
+        """Cell id -> position in the pack.  Built once; callers only
+        read it."""
+        return self._index
 
     @property
     def key(self) -> Tuple[int, ...]:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_program
+from repro.domains import octagon
 from repro.domains.octagon import _closed_matrix, _closed_matrix_scalar
 from repro.domains.thresholds import default_thresholds
 from repro.domains.values import CellValue
@@ -223,12 +224,34 @@ class TestKernelBitIdentity:
 
 
 class TestClosureOracle:
-    """The pure-Python closure mirror is bit-identical to the numpy
-    Floyd-Warshall + strengthening kernel."""
+    """The numpy closure kernel agrees bit for bit with its pure-Python
+    mirror on every pack size the analyzer builds (1 to 8 variables),
+    on both sides of the kernel's magnitude guard: below it the kernel
+    hands the matrix to the mirror itself."""
+
+    #: Entry kinds drawn into a matrix, beside ordinary bounds.
+    KINDS = ("plain", "threshold", "neg-inf", "nan", "extreme")
 
     @staticmethod
-    def random_dbm(rng: random.Random, n: int) -> np.ndarray:
+    def threshold(n: int) -> float:
+        return 2.0 ** (1000 - 7 * n)
+
+    @classmethod
+    def random_dbm(cls, rng: random.Random, n: int, kind: str) -> np.ndarray:
         size = 2 * n
+        t = cls.threshold(n)
+        specials = {
+            "plain": [0.0, -0.0, 5e-324, -5e-324],
+            # Both sides of the guard, and a third of it (entries that
+            # triple over the closure's steps).
+            "threshold": [-t, -math.nextafter(t, 0.0), -t / 3, t],
+            "neg-inf": [-INF],
+            "nan": [NAN],
+            # Large negative entries fail the guard (and would reach
+            # -inf within a few steps); large positive ones overflow to
+            # +inf in the sums.
+            "extreme": [1e308, -1e308, 1.7e308, -1.7e308, -1e307, -1e300],
+        }[kind]
         m = np.full((size, size), INF, dtype=np.float64)
         for i in range(size):
             m[i][i] = 0.0
@@ -238,23 +261,85 @@ class TestClosureOracle:
                 r = rng.random()
                 if r < 0.35:
                     continue
-                if r < 0.42:
-                    m[i][j] = rng.choice(
-                        [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324])
+                if r < 0.5:
+                    m[i][j] = rng.choice(specials)
                 else:
                     m[i][j] = rng.uniform(-1e3, 1e3) * \
                         (10.0 ** rng.randint(-2, 2))
         return m
 
-    def test_bit_identical(self):
+    @staticmethod
+    def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+        """Bit-identical, except that NaN entries match any NaN: the
+        mirror's Python additions do not promise numpy's choice of NaN
+        sign when two NaNs meet."""
+        nan = np.isnan(a)
+        return bool((nan == np.isnan(b)).all()) and \
+            a[~nan].tobytes() == b[~nan].tobytes()
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Counts the kernel's hand-offs to the scalar mirror."""
+        calls = []
+        real = octagon._closed_matrix_scalar
+
+        def counting(m0, n):
+            calls.append(n)
+            return real(m0, n)
+
+        monkeypatch.setattr(octagon, "_closed_matrix_scalar", counting)
+        return calls
+
+    def test_bit_identical(self, fallbacks):
         rng = random.Random(0x0C7A60)
+        fast = {}
+        slow = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            for trial in range(60):
-                n = rng.randint(1, 6)
-                m0 = self.random_dbm(rng, n)
-                vec = _closed_matrix(m0, n)
-                ref = _closed_matrix_scalar(m0, n)
-                assert vec.tobytes() == ref.tobytes(), (trial, n)
+            for n in range(1, 9):
+                for kind in self.KINDS:
+                    for trial in range(5):
+                        m0 = self.random_dbm(rng, n, kind)
+                        before = len(fallbacks)
+                        vec = _closed_matrix(m0, n)
+                        took = slow if len(fallbacks) > before else fast
+                        took[n] = took.get(n, 0) + 1
+                        ref = _closed_matrix_scalar(m0, n)
+                        assert self.same_bits(vec, ref), (n, kind, trial)
+                        if not np.isnan(m0).any():
+                            assert vec.tobytes() == ref.tobytes()
+        # Both paths ran at every pack size.
+        assert sorted(fast) == sorted(slow) == list(range(1, 9))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_guard_boundary(self, fallbacks, n):
+        """The guard is strict: the threshold itself falls back, the
+        next float above it stays on the numpy path."""
+        t = self.threshold(n)
+        for entry, fallback in ((-t, True),
+                                (-math.nextafter(t, 0.0), False),
+                                (-INF, True), (NAN, False)):
+            m0 = np.zeros((2 * n, 2 * n))
+            m0[0, 2 * n - 1] = entry
+            before = len(fallbacks)
+            with np.errstate(invalid="ignore"):
+                _closed_matrix(m0, n)
+            assert (len(fallbacks) > before) is fallback, entry
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_worst_case_growth_stays_finite(self, fallbacks, n):
+        """Every off-diagonal entry just above the guard: negative
+        cycles everywhere drive entries down at the fastest rate the
+        closure allows, and the fast path must still never meet
+        ``-inf`` (where its nudge would differ from the mirror's)."""
+        size = 2 * n
+        m0 = np.full((size, size), -math.nextafter(self.threshold(n), 0.0))
+        np.fill_diagonal(m0, 0.0)
+        vec = _closed_matrix(m0, n)
+        assert not fallbacks
+        assert np.isfinite(vec).all()
+        assert vec.tobytes() == _closed_matrix_scalar(m0, n).tobytes()
+        # The entries did grow: the guard is not vacuous.
+        assert vec.min() < -self.threshold(n)
 
 
 def float_cell(lo: float, hi: float) -> CellValue:
