@@ -21,7 +21,20 @@ from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .domains.thresholds import ThresholdSet, default_thresholds
 
-__all__ = ["AnalyzerConfig", "baseline_config"]
+__all__ = ["AnalyzerConfig", "SEMANTICS_VERSION", "baseline_config"]
+
+#: Version of the analyzer's abstract semantics.  Bump it with every
+#: change that can move a result (an alarm, a bound, a digest) of an
+#: unchanged program under an unchanged configuration.  It is part of
+#: the serve caches' configuration fingerprint (request keys, fixpoint
+#: journal compatibility) and of the checkpoint fingerprint, so results
+#: and states computed under older semantics are never served, spliced
+#: or resumed under newer ones.
+#:
+#: 1: full octagon closure after every transfer.
+#: 2: pivot-restricted closure after transfers that edit a closed
+#:    octagon; stable octagon widening returns its left argument.
+SEMANTICS_VERSION = 2
 
 
 @dataclass

@@ -37,15 +37,16 @@ __all__ = ["Octagon", "closure_memo_stats", "configure_closure_memo",
 _INF = math.inf
 
 # Value-keyed closure memo (part of the incremental engine's sharing
-# machinery, see repro.iterator.incremental): maps a raw matrix to its
-# strongly-closed octagon.  Closure is a deterministic function of the
-# matrix, so two ==-equal raw octagons have bit-identical closures and
-# may share one result object.  Bounded with FIFO eviction: at capacity
+# machinery, see repro.iterator.incremental): maps a raw matrix and its
+# closure pivots to its strongly-closed octagon.  Closure is a
+# deterministic function of the two, so ==-equal raw matrices closed
+# through the same pivots have bit-identical closures and may share one
+# result object.  Bounded with FIFO eviction: at capacity
 # only the oldest insertions are dropped (a batch at a time), so a full
 # memo sheds cold entries instead of cold-starting the whole hot set
 # (it is a cache — dropping entries costs time, never correctness).
 # Off by default; analyze_program enables it for incremental runs.
-_CLOSURE_MEMO: Dict[bytes, "Octagon"] = {}
+_CLOSURE_MEMO: Dict[Tuple[Optional[Tuple[int, ...]], bytes], "Octagon"] = {}
 _CLOSURE_MEMO_MAX = 0
 _CLOSURE_HITS = 0
 _CLOSURE_EVICTIONS = 0
@@ -57,9 +58,9 @@ def configure_closure_memo(max_size: int) -> None:
     Reconfiguring to the *same* capacity keeps the memo contents (and
     the hit/eviction counters): a long-lived process analyzing many
     programs — the ``serve`` daemon — stays warm across requests, and
-    closure is a pure function of the matrix alone, so entries are
-    valid across programs.  Changing the capacity evicts down (or
-    clears, when disabling) and resets the counters."""
+    closure is a pure function of the matrix and pivots alone, so
+    entries are valid across programs.  Changing the capacity evicts
+    down (or clears, when disabling) and resets the counters."""
     global _CLOSURE_MEMO_MAX, _CLOSURE_HITS, _CLOSURE_EVICTIONS
     if max_size == _CLOSURE_MEMO_MAX and max_size > 0:
         return
@@ -108,10 +109,18 @@ def vectorize_enabled() -> bool:
     return _VECTORIZE
 
 
-def _closed_matrix(m0: np.ndarray, n: int) -> np.ndarray:
+def _closed_matrix(m0: np.ndarray, n: int,
+                   pivots: Optional[Sequence[int]] = None) -> np.ndarray:
     """The numpy closure kernel: Floyd-Warshall over the doubled graph
     with upward rounding, then octagonal strengthening.  Returns the
     tightened matrix; the caller decides bottom vs closed.
+
+    ``pivots`` restricts the Floyd-Warshall steps to the nodes of the
+    given variables (default: all ``n``).  That is the incremental
+    closure of a closed matrix whose edits only tighten entries between
+    pivot nodes (see :meth:`Octagon._close_edit`); on any other input it is
+    still sound, since every step replaces an entry by a nudged bound
+    of a real path, only less precise.
 
     Every candidate plane is built in one preallocated buffer with
     ``out=`` ufuncs, and each one-ulp upward nudge is a single
@@ -121,20 +130,20 @@ def _closed_matrix(m0: np.ndarray, n: int) -> np.ndarray:
     the loop only as an input entry or through negative overflow.  A
     candidate sums at most three current entries (NaN entries only
     produce NaN), so the most negative entry at most triples per step,
-    over ``4n`` steps.  Since ``3**4 < 2**7``, entries above
+    over at most ``4n`` steps.  Since ``3**4 < 2**7``, entries above
     ``-2**(1000 - 7n)`` stay above ``-2**1000`` and no sum reaches
     ``-inf``.  ``np.fmin`` skips NaN entries; matrices outside the bound
     (a ``-inf`` or hugely negative entry, or no non-NaN entry at all) go
     to the scalar mirror :func:`_closed_matrix_scalar`.
     """
     if not np.fmin.reduce(m0, axis=None) > -2.0 ** (1000 - 7 * n):
-        return _closed_matrix_scalar(m0, n)
+        return _closed_matrix_scalar(m0, n, pivots)
     m = m0.copy()
     size = 2 * n
     buf = np.empty((size, size))
     col = np.empty((size, 1))
     add, nextafter, minimum = np.add, np.nextafter, np.minimum
-    for k in range(n):
+    for k in range(n) if pivots is None else pivots:
         k0, k1 = 2 * k, 2 * k + 1
         for kk in (k0, k1):
             # Floyd-Warshall step through node kk, rounding up.
@@ -159,7 +168,9 @@ def _closed_matrix(m0: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
-def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
+def _closed_matrix_scalar(m0: np.ndarray, n: int,
+                          pivots: Optional[Sequence[int]] = None
+                          ) -> np.ndarray:
     """Pure-Python mirror of :func:`_closed_matrix` — the scalar oracle
     behind ``--no-vectorize``, and the numpy kernel's own fallback for
     matrices outside its magnitude guard.
@@ -170,11 +181,11 @@ def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
     buffer), the same IEEE-754 scalar operations (``math.nextafter`` ≡
     ``np.nextafter``) and ``np.minimum``'s pick semantics (NaN
     propagates, the current entry's first; ties — signed zeros
-    included — keep the current entry).  The nudge leaves both
-    infinities alone.  On the numpy kernel's domain that is the same as
-    a bare ``nextafter``, since no ``-inf`` arises there; below the
-    guard it is the rule the fallback keeps, so that ``-inf`` entries
-    stay ``-inf``.  The result equals the numpy kernel's bit for bit,
+    included — take the candidate, numpy's second operand).  The nudge
+    leaves both infinities alone.  On the numpy kernel's domain that is
+    the same as a bare ``nextafter``, since no ``-inf`` arises there;
+    below the guard it is the rule the fallback keeps, so that ``-inf``
+    entries stay ``-inf``.  The result equals the numpy kernel's bit for bit,
     except that when two NaNs meet, the sign of the NaN that survives
     may differ (Python's float addition does not promise numpy's
     operand order for NaN payloads).  The analyzer's matrices hold no
@@ -190,15 +201,16 @@ def _closed_matrix_scalar(m0: np.ndarray, n: int) -> np.ndarray:
         return math.nextafter(x, inf)
 
     def min2(cur: float, new: float) -> float:
-        # np.minimum(cur, new): NaN propagates (``cur`` first), ties
-        # keep ``cur``.  ``new < cur`` is False when either is NaN.
-        if new < cur or (new != new and cur == cur):
-            return new
-        return cur
+        # np.minimum(cur, new) is ``cur < new or isnan(cur) ? cur : new``:
+        # NaN propagates (``cur`` first) and ties, -0.0 vs 0.0
+        # included, take ``new``.
+        if cur < new or cur != cur:
+            return cur
+        return new
 
     size = 2 * n
     m = m0.tolist()
-    for k in range(n):
+    for k in range(n) if pivots is None else pivots:
         for kk in (2 * k, 2 * k + 1):
             col = [m[i][kk] for i in range(size)]
             row = list(m[kk])
@@ -256,6 +268,8 @@ class Octagon:
     #: Number of cubic Floyd-Warshall closures actually run (all
     #: instances).  Monitored by tests asserting the cache is consumed.
     closure_computations = 0
+    #: How many of those ran only through pivot variables.
+    pivot_closures = 0
 
     def __init__(self, n: int, m: Optional[np.ndarray] = None,
                  closed: bool = False, bottom: bool = False):
@@ -311,38 +325,23 @@ class Octagon:
         w.r.t. real arithmetic via upward rounding."""
         if self._closed or self._bottom:
             return self
-        if self._closed_cache is not None:
-            return self._closed_cache
-        if np.count_nonzero(np.isfinite(self.m)) == 2 * self.n:
-            # Top octagon (only the zero diagonal is finite): already closed.
-            out = Octagon(self.n, self.m, closed=True)
-            self._closed_cache = out
-            return out
-        key = None
-        if _CLOSURE_MEMO_MAX > 0:
-            key = self.m.tobytes()
-            cached = _CLOSURE_MEMO.get(key)
-            if cached is not None:
-                global _CLOSURE_HITS
-                _CLOSURE_HITS += 1
-                self._closed_cache = cached
-                return cached
-        Octagon.closure_computations += 1
-        if _VECTORIZE:
-            m = _closed_matrix(self.m, self.n)
-        else:
-            m = _closed_matrix_scalar(self.m, self.n)
-        if np.any(np.diagonal(m) < 0.0):
-            out = Octagon.make_bottom(self.n)
-        else:
-            np.fill_diagonal(m, 0.0)
-            out = Octagon(self.n, m, closed=True)
-        self._closed_cache = out
-        if key is not None:
-            if len(_CLOSURE_MEMO) >= _CLOSURE_MEMO_MAX:
-                _evict_closure_memo()
-            _CLOSURE_MEMO[key] = out
-        return out
+        if self._closed_cache is None:
+            self._closed_cache = _close(self.n, self.m, None)
+        return self._closed_cache
+
+    def _close_edit(self, m: np.ndarray,
+                    pivots: Tuple[int, ...]) -> "Octagon":
+        """The closure of ``m``, an edit of this octagon's matrix that
+        only tightens entries between the DBM nodes of the ``pivots``
+        variables (or, for :meth:`shift_var`, translates one variable).
+
+        When this octagon is closed, Floyd-Warshall through the pivot
+        nodes and then strengthening is its strong closure in real
+        arithmetic: every shortest path of the edited graph leaves the
+        pivot nodes only along unedited edges, and the segments between
+        two visits of a pivot node are shortcut by the closed input.
+        An unclosed input gets the full closure."""
+        return _close(self.n, m, pivots if self._closed else None)
 
     # -- lattice --------------------------------------------------------------------
 
@@ -370,14 +369,18 @@ class Octagon:
               thresholds: Optional[Sequence[float]] = None) -> "Octagon":
         """Entry-wise widening: unstable bounds jump to the next threshold
         (or infinity).  The left argument must NOT be closed before widening
-        (closure can defeat termination); we widen raw matrices."""
+        (closure can defeat termination); we widen raw matrices.  With no
+        unstable bound the result is the left argument itself, whose
+        ``_closed`` flag stays true of its matrix."""
         if self._bottom:
             return other
         if other._bottom:
             return self
         b = other.closed()
-        m = self.m.copy()
         unstable = b.m > self.m
+        if not unstable.any():
+            return self
+        m = self.m.copy()
         if thresholds is None:
             m[unstable] = _INF
         else:
@@ -417,12 +420,18 @@ class Octagon:
         return bool(np.array_equal(a.m, b.m))
 
     def raw_equal(self, other: "Octagon") -> bool:
-        """Representation equality without closure: same raw matrix (or
-        both bottom).  Sufficient for semantic equality — used by the
-        incremental engine's agreement check, where a cubic closure just
-        to compare would defeat the point of skipping."""
+        """Representation equality without closure: same raw matrix and
+        same ``_closed`` flag (or both bottom).  Sufficient for semantic
+        equality — used by the incremental engine's agreement check,
+        where a cubic closure just to compare would defeat the point of
+        skipping.  The flag counts: closure is not idempotent, so an
+        unclosed matrix may close to something else than the equal
+        closed one, and the flag also picks the pivot path of the next
+        transfer."""
         if self._bottom or other._bottom:
             return self._bottom == other._bottom
+        if self._closed != other._closed:
+            return False
         return self.m is other.m or bool(np.array_equal(self.m, other.m))
 
     # -- constraint access ------------------------------------------------------------
@@ -483,7 +492,7 @@ class Octagon:
             _set2(m, 2 * i + 1, 2 * i, mul_up(2.0, iv.hi))
         if iv.lo > -_INF:
             _set2(m, 2 * i, 2 * i + 1, mul_up(2.0, -iv.lo))
-        return Octagon(self.n, m).closed()
+        return self._close_edit(m, (i,))
 
     def forget(self, i: int) -> "Octagon":
         """Project out all constraints on variable i (keep implied ones)."""
@@ -525,7 +534,7 @@ class Octagon:
         if delta.lo > -_INF:
             _set2(m, 2 * i, 2 * j, -delta.lo)
         _seed_bounds(m, j, j_bounds)
-        return Octagon(self.n, m).closed()
+        return out._close_edit(m, (min(i, j), max(i, j)))
 
     def assign_neg_var_plus_interval(self, i: int, j: int, delta: FloatInterval,
                                      j_bounds: Optional[FloatInterval] = None) -> "Octagon":
@@ -547,7 +556,7 @@ class Octagon:
         if delta.lo > -_INF:
             _set2(m, 2 * j, 2 * i + 1, -delta.lo)
         _seed_bounds(m, j, j_bounds)
-        return Octagon(self.n, m).closed()
+        return out._close_edit(m, (min(i, j), max(i, j)))
 
     def shift_var(self, i: int, delta: FloatInterval) -> "Octagon":
         """v_i := v_i + delta."""
@@ -574,7 +583,9 @@ class Octagon:
             m[neg, pos] = add_up(m[neg, pos], mul_up(2.0, hi)) if hi < _INF else _INF
         if m[pos, neg] < _INF:
             m[pos, neg] = add_up(m[pos, neg], mul_up(2.0, -lo)) if lo > -_INF else _INF
-        return Octagon(self.n, m).closed()
+        # A translation of one variable maps a closed matrix to a
+        # closed one in real arithmetic; the pivot pass re-tightens it.
+        return c._close_edit(m, (i,))
 
     def guard_upper(self, coeffs: Dict[int, int], bound: float,
                     seed_bounds: Optional[Dict[int, FloatInterval]] = None) -> "Octagon":
@@ -607,7 +618,10 @@ class Octagon:
                 _set2(m, 2 * i, 2 * j, bound)
             else:                      # -v_i - v_j <= bound
                 _set2(m, 2 * j, 2 * i + 1, bound)
-        return Octagon(self.n, m).closed()
+        pivots = {pos for pos, _ in items}
+        if seed_bounds:
+            pivots.update(seed_bounds)
+        return self._close_edit(m, tuple(sorted(pivots)))
 
     def assign_linear_form(self, i: int, form: LinearForm,
                            var_index: Dict[object, int],
@@ -684,6 +698,40 @@ class Octagon:
         for i in range(self.n):
             lines.append(f"v{i} in {self.var_interval(i)!r}")
         return "Octagon(" + "; ".join(lines) + ")"
+
+
+def _close(n: int, m: np.ndarray,
+           pivots: Optional[Tuple[int, ...]]) -> Octagon:
+    """Strong closure of the raw matrix ``m`` through ``pivots`` (all
+    variables when ``None``), through the closure memo."""
+    if np.count_nonzero(np.isfinite(m)) == 2 * n:
+        # Top octagon (only the zero diagonal is finite): already closed.
+        return Octagon(n, m, closed=True)
+    key = None
+    if _CLOSURE_MEMO_MAX > 0:
+        key = (pivots, m.tobytes())
+        cached = _CLOSURE_MEMO.get(key)
+        if cached is not None:
+            global _CLOSURE_HITS
+            _CLOSURE_HITS += 1
+            return cached
+    Octagon.closure_computations += 1
+    if pivots is not None:
+        Octagon.pivot_closures += 1
+    if _VECTORIZE:
+        c = _closed_matrix(m, n, pivots)
+    else:
+        c = _closed_matrix_scalar(m, n, pivots)
+    if np.any(np.diagonal(c) < 0.0):
+        out = Octagon.make_bottom(n)
+    else:
+        np.fill_diagonal(c, 0.0)
+        out = Octagon(n, c, closed=True)
+    if key is not None:
+        if len(_CLOSURE_MEMO) >= _CLOSURE_MEMO_MAX:
+            _evict_closure_memo()
+        _CLOSURE_MEMO[key] = out
+    return out
 
 
 def _seed_bounds(m: np.ndarray, pos: int, iv: Optional[FloatInterval]) -> None:

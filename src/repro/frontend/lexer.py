@@ -38,6 +38,9 @@ _PUNCTS2 = (
     "%=", "&=", "|=", "^=", "++", "--", "->",
 )
 _PUNCTS1 = "+-*/%<>=!&|^~?:;,.(){}[]"
+# ASCII only: str.isdigit() also accepts digits such as '²' that int()
+# rejects.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
                 j = n
             directive = source[i:j]
             parts = directive.split()
-            if len(parts) >= 2 and parts[1].isdigit():
+            if len(parts) >= 2 and set(parts[1]) <= _DIGITS:
                 line = int(parts[1]) - 1
                 if len(parts) >= 3 and parts[2].startswith('"'):
                     filename = parts[2].strip('"')
@@ -123,7 +126,7 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
             tok, j = _lex_number(source, i, filename, line, start_col)
             tokens.append(tok)
             col += j - i
@@ -182,26 +185,29 @@ def _lex_number(source: str, i: int, filename: str, line: int, col: int):
         digits = source[i:j]
         value: object = int(digits, 16)
     else:
-        while j < n and source[j].isdigit():
+        while j < n and source[j] in _DIGITS:
             j += 1
         if j < n and source[j] == ".":
             is_float = True
             j += 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
         if j < n and source[j] in "eE":
             k = j + 1
             if k < n and source[k] in "+-":
                 k += 1
-            if k < n and source[k].isdigit():
+            if k < n and source[k] in _DIGITS:
                 is_float = True
                 j = k
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
         digits = source[i:j]
         if is_float:
             value = float(digits)
         elif digits.startswith("0") and len(digits) > 1:
+            if not set(digits) <= set("01234567"):
+                raise LexerError(f"invalid digit in octal literal {digits}",
+                                 filename, line, col)
             value = int(digits, 8)
         else:
             value = int(digits)

@@ -88,8 +88,11 @@ def config_fingerprint(cfg) -> str:
     """Hash of every analysis-relevant configuration field (threshold
     *values* included — unlike the coarser checkpoint fingerprint, this
     key crosses runs and programs, so it cannot rely on a fixed
-    in-process thresholds object)."""
+    in-process thresholds object), and of the analyzer's
+    :data:`~repro.config.SEMANTICS_VERSION`."""
     import dataclasses
+
+    from .. import config
 
     items: List[Tuple[str, str]] = []
     for f in dataclasses.fields(cfg):
@@ -103,7 +106,7 @@ def config_fingerprint(cfg) -> str:
         elif isinstance(v, (set, frozenset)):
             v = tuple(sorted(v))
         items.append((f.name, repr(v)))
-    return _sha(repr(sorted(items)))
+    return _sha(repr(sorted(items)), repr(config.SEMANTICS_VERSION))
 
 
 def stable_ordinals(prog) -> Dict[int, int]:

@@ -53,10 +53,12 @@ CHECKPOINT_VERSION = 1
 
 def context_fingerprint(ctx) -> str:
     """Hash of everything the checkpointed state is keyed against:
-    statement ids, cell ids, pack layout, and the analysis-relevant
-    starting configuration.  A resume against a different program or a
-    differently-parameterized run is rejected up front instead of
-    producing silently wrong (key-shifted) states.
+    statement ids, cell ids, pack layout, the analysis-relevant
+    starting configuration and the analyzer's semantics version
+    (:data:`repro.config.SEMANTICS_VERSION`).  A resume against a
+    different program, a differently-parameterized run or older
+    semantics is rejected up front instead of producing silently wrong
+    (key-shifted) states.
 
     Deliberately excluded: the sharing/memoization knobs (incremental,
     lattice_memo_size, value_intern_size, closure_memo_size), the
@@ -69,9 +71,11 @@ def context_fingerprint(ctx) -> str:
     under one setting must resume under any other.  (The intern pools are
     process-local; resume re-canonicalizes via reintern_env, keyed on
     values, never on intern ids.)"""
+    from .. import config
     from ..frontend import ir as I
 
     h = hashlib.sha256()
+    h.update(repr(config.SEMANTICS_VERSION).encode())
     sids: List[int] = []
     for name in sorted(ctx.prog.functions):
         fn = ctx.prog.functions[name]

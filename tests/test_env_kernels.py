@@ -11,6 +11,7 @@ of the checkpoint/serve fingerprints.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import struct
@@ -226,7 +227,8 @@ class TestKernelBitIdentity:
 class TestClosureOracle:
     """The numpy closure kernel agrees bit for bit with its pure-Python
     mirror on every pack size the analyzer builds (1 to 8 variables),
-    on both sides of the kernel's magnitude guard: below it the kernel
+    for the full closure and for every single pivot and pivot pair, on
+    both sides of the kernel's magnitude guard: below it the kernel
     hands the matrix to the mirror itself."""
 
     #: Entry kinds drawn into a matrix, beside ordinary bounds.
@@ -283,9 +285,9 @@ class TestClosureOracle:
         calls = []
         real = octagon._closed_matrix_scalar
 
-        def counting(m0, n):
+        def counting(m0, n, pivots=None):
             calls.append(n)
-            return real(m0, n)
+            return real(m0, n, pivots)
 
         monkeypatch.setattr(octagon, "_closed_matrix_scalar", counting)
         return calls
@@ -296,19 +298,33 @@ class TestClosureOracle:
         slow = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, 9):
-                for kind in self.KINDS:
-                    for trial in range(5):
+                # The full closure five times, then every single pivot
+                # and every ordered pivot pair.
+                pivot_sets = [None] * 5 + [(k,) for k in range(n)] + \
+                    list(itertools.permutations(range(n), 2))
+                for pivots in pivot_sets:
+                    for kind in self.KINDS:
                         m0 = self.random_dbm(rng, n, kind)
                         before = len(fallbacks)
-                        vec = _closed_matrix(m0, n)
+                        vec = _closed_matrix(m0, n, pivots)
                         took = slow if len(fallbacks) > before else fast
                         took[n] = took.get(n, 0) + 1
-                        ref = _closed_matrix_scalar(m0, n)
-                        assert self.same_bits(vec, ref), (n, kind, trial)
+                        ref = _closed_matrix_scalar(m0, n, pivots)
+                        assert self.same_bits(vec, ref), (n, pivots, kind)
                         if not np.isnan(m0).any():
                             assert vec.tobytes() == ref.tobytes()
         # Both paths ran at every pack size.
         assert sorted(fast) == sorted(slow) == list(range(1, 9))
+
+    def test_all_pivots_is_the_full_closure(self):
+        rng = random.Random(0xA11)
+        for n in range(1, 9):
+            m0 = self.random_dbm(rng, n, "plain")
+            full = _closed_matrix(m0, n)
+            assert _closed_matrix(m0, n, tuple(range(n))).tobytes() == \
+                full.tobytes()
+            assert _closed_matrix_scalar(m0, n, range(n)).tobytes() == \
+                full.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_guard_boundary(self, fallbacks, n):

@@ -99,6 +99,9 @@ class TestSpecificMalformed:
         "int *g; int main(void) { return 0; }",
         "int main(void) { goto end; end: return 0; }",
         "int f(void) { return f(); } int main(void) { return f(); }" * 1,
+        "08",                                # invalid octal digit
+        "int x = 09; int main(void) { return x; }",
+        "int x = \u00b2; int main(void) { return x; }",  # non-ASCII digit
     ]
 
     @pytest.mark.parametrize("source", CASES,

@@ -321,6 +321,33 @@ class TestOctagonSharing:
         c = self._raw(hi=20.0)
         assert not a.raw_equal(c)
 
+    # A closure output of the analyzer (a two-variable pack) that a
+    # second closure moves: the nudged closure is not idempotent.
+    NON_IDEMPOTENT = (
+        ("0x0.0p+0", "0x1.9p+6",
+         "-0x1.3fffffffffffep+2", "0x1.a400000000002p+6"),
+        ("0x1.9p+6", "0x0.0p+0",
+         "-0x1.3fffffffffffep+2", "0x1.a400000000002p+6"),
+        ("0x1.a400000000002p+6", "0x1.a400000000002p+6",
+         "0x0.0p+0", "0x1.b8p+6"),
+        ("-0x1.3fffffffffffep+2", "-0x1.3fffffffffffep+2",
+         "-0x1.b8p+6", "0x0.0p+0"),
+    )
+
+    def test_raw_equal_requires_equal_closed_flags(self):
+        import numpy as np
+
+        x = np.array([[float.fromhex(h) for h in row]
+                      for row in self.NON_IDEMPOTENT])
+        closed = Octagon(2, x, closed=True)
+        raw = Octagon(2, x.copy(), closed=False)
+        # Same matrix, different closures: the skip/splice must not
+        # take one for the other.
+        assert not np.array_equal(raw.closed().m, closed.closed().m)
+        assert not closed.raw_equal(raw) and not raw.raw_equal(closed)
+        assert closed.raw_equal(Octagon(2, x.copy(), closed=True))
+        assert raw.raw_equal(Octagon(2, x.copy(), closed=False))
+
     def test_raw_equal_does_not_close(self):
         a, b = self._raw(), self._raw()
         before = Octagon.closure_computations

@@ -65,6 +65,27 @@ class TestFingerprints:
             dataclasses.replace(cfg, wall_deadline_s=1.0,
                                 closure_memo_size=1))
 
+    def test_semantics_version_changes_every_key(self, family, monkeypatch):
+        # A change of the abstract semantics must retire every stored
+        # result, fixpoint journal and checkpoint of the old semantics.
+        import repro.config
+        from repro.supervisor.checkpoint import context_fingerprint
+
+        cfg = family.analyzer_config()
+        ctx = analyze(family.source, "fam.c", config=cfg).ctx
+        digest = source_digest([("fam.c", family.source)])
+
+        def keys():
+            return (request_key(digest, "main", cfg),
+                    compat_fingerprint(ctx), context_fingerprint(ctx))
+
+        before = keys()
+        assert keys() == before
+        monkeypatch.setattr(repro.config, "SEMANTICS_VERSION",
+                            repro.config.SEMANTICS_VERSION + 1)
+        after = keys()
+        assert all(a != b for a, b in zip(before, after))
+
     def test_degraded_effective_config_fingerprints_differently(self):
         # Every degradation rung mutates precision fields, so the
         # effective config of a degraded run can never collide with the
